@@ -1,6 +1,6 @@
 /**
  * @file
- * Golden-result regression gate for the epoch-model simulators.
+ * Golden-result regression gate for the simulators.
  *
  * Runs a small fixed sweep — every commercial workload under issue
  * configs A..E plus the runahead, value-prediction and store-buffer
@@ -16,6 +16,12 @@
  *   golden_check --check FILE   # compare a fresh sweep against FILE
  *   golden_check --write FILE   # (re)generate FILE
  *
+ * With --cyclesim the sweep is the cycle-accurate pipeline's instead
+ * (data/golden_cyclesim.json, the golden_cyclesim ctest): every
+ * commercial workload under issue configs A..C at 200 and 1000 cycles
+ * of miss penalty, plus one perfect-L2 cell, with every
+ * CycleSimResult field.
+ *
  * Checkpoint/resume (the golden_resume ctest):
  *   --journal FILE      persist each completed cell to FILE and skip
  *                       cells FILE already has (core/result_journal.hh)
@@ -29,7 +35,9 @@
  * The sweep is deterministic end to end: workload generators use
  * their fixed default seeds, annotation substrates are replayed in
  * program order, and MLP (the only double) is a single IEEE division
- * of two integers, so the document compares exactly.
+ * of two integers, so the document compares exactly. CycleSim's
+ * mlpSum is a double too, but a sum of integer products far below
+ * 2^53, so it is exact as well.
  */
 #include <cstdio>
 #include <cstdlib>
@@ -40,6 +48,7 @@
 #include "core/mlpsim.hh"
 #include "core/result_json.hh"
 #include "core/result_journal.hh"
+#include "cyclesim/cycle_sim.hh"
 #include "metrics/json.hh"
 #include "util/logging.hh"
 #include "util/options.hh"
@@ -139,6 +148,71 @@ runGoldenSweep(core::ResultJournal *journal, uint64_t kill_after)
     return doc;
 }
 
+JsonValue
+cycleSimResultToJson(const cyclesim::CycleSimResult &r)
+{
+    JsonValue out = JsonValue::object();
+    out.set("cycles", r.cycles);
+    out.set("instructions", r.instructions);
+    out.set("offchip_accesses", r.offChipAccesses);
+    out.set("mlp_cycles", r.mlpCycles);
+    out.set("mlp_sum", r.mlpSum);
+    return out;
+}
+
+/** The Table 3 machines (64-entry window and ROB, configs A..C) at
+ *  two miss penalties, plus a perfect-L2 cell on the first workload. */
+JsonValue
+runCycleSimSweep()
+{
+    using core::IssueConfig;
+
+    core::AnnotationOptions ann;
+    ann.warmupInsts = goldenWarmup;
+
+    JsonValue results = JsonValue::object();
+    bool first_workload = true;
+    for (const std::string &name : workloads::commercialWorkloadNames()) {
+        auto generator = workloads::makeWorkload(name);
+        trace::TraceBuffer buffer(name);
+        buffer.fill(*generator, goldenInsts);
+        const core::AnnotatedTrace annotated(buffer, ann);
+
+        std::vector<cyclesim::CycleSimConfig> configs;
+        for (IssueConfig ic :
+             {IssueConfig::A, IssueConfig::B, IssueConfig::C}) {
+            for (unsigned lat : {200u, 1000u}) {
+                cyclesim::CycleSimConfig cfg;
+                cfg.issue = ic;
+                cfg.offChipLatency = lat;
+                configs.push_back(cfg);
+            }
+        }
+        if (first_workload) {
+            cyclesim::CycleSimConfig cfg;
+            cfg.perfectL2 = true;
+            configs.push_back(cfg);
+            first_workload = false;
+        }
+        for (cyclesim::CycleSimConfig &cfg : configs) {
+            cfg.warmupInsts = goldenWarmup;
+            const cyclesim::CycleSimResult r =
+                cyclesim::CycleSim(cfg, annotated.context()).run();
+            results.set(name + "/" + cfg.metricLabel(),
+                        cycleSimResultToJson(r));
+        }
+    }
+
+    JsonValue doc = JsonValue::object();
+    doc.set("schema", "mlpsim-golden-cyclesim-v1");
+    JsonValue meta = JsonValue::object();
+    meta.set("insts", goldenInsts);
+    meta.set("warmup", goldenWarmup);
+    doc.set("meta", std::move(meta));
+    doc.set("results", std::move(results));
+    return doc;
+}
+
 /** First path at which two documents differ, for an actionable diff. */
 std::string
 firstDifference(const JsonValue &a, const JsonValue &b,
@@ -171,17 +245,22 @@ int
 main(int argc, char **argv)
 {
     Options opts(argc, argv);
-    opts.rejectUnknown({"check", "write", "journal", "kill-after"});
+    opts.rejectUnknown(
+        {"check", "write", "journal", "kill-after", "cyclesim"});
 
     const std::string check = opts.getString("check", "");
     const std::string write = opts.getString("write", "");
     if (check.empty() == write.empty())
         fatal("exactly one of --check FILE / --write FILE is required");
 
+    const bool cyclesim_sweep = opts.has("cyclesim");
     const std::string journal_path = opts.getString("journal", "");
     const uint64_t kill_after = opts.getU64("kill-after", 0);
     if (kill_after != 0 && journal_path.empty())
         fatal("--kill-after requires --journal (nothing would survive)");
+    if (cyclesim_sweep && !journal_path.empty())
+        fatal("--journal records epoch-model results; it does not "
+              "apply to --cyclesim");
 
     std::optional<core::ResultJournal> journal;
     if (!journal_path.empty()) {
@@ -198,7 +277,9 @@ main(int argc, char **argv)
     }
 
     const JsonValue fresh =
-        runGoldenSweep(journal ? &*journal : nullptr, kill_after);
+        cyclesim_sweep
+            ? runCycleSimSweep()
+            : runGoldenSweep(journal ? &*journal : nullptr, kill_after);
 
     if (!write.empty()) {
         metrics::writeJsonFile(write, fresh).orFatal();
