@@ -86,6 +86,23 @@ CycleSim::CycleSim(const CycleSimConfig &config,
     branchFifo.reset(256);
     candRun.reserve(256);
     candHeap.reserve(64);
+
+    // One completion FIFO per distinct execution latency.
+    const unsigned latency[numLatencyKinds] = {
+        cfg.aluLatency, 1, cfg.l1Latency, cfg.l2Latency,
+        cfg.perfectL2 ? cfg.l2Latency : cfg.offChipLatency};
+    for (unsigned k = 0; k < numLatencyKinds; ++k) {
+        unsigned f = 0;
+        while (f < numFifos && fifoLatency[f] != latency[k])
+            ++f;
+        if (f == numFifos) {
+            fifoLatency[f] = latency[k];
+            completions[f].reset(64);
+            ++numFifos;
+        }
+        kindFifo[k] = uint8_t(f);
+    }
+    outstanding.reset(64);
 }
 
 void
@@ -151,14 +168,16 @@ CycleSim::popCandidate()
     return seq;
 }
 
-unsigned
-CycleSim::dataLatency(const RobEntry &entry) const
+CycleSim::LatencyKind
+CycleSim::latencyKind(const RobEntry &entry) const
 {
+    if (entry.is(kPrefetch))
+        return Prefetch; // prefetches are fire-and-forget
+    if (!entry.is(kLoadLike))
+        return Alu;
     if (entry.is(kDMiss))
-        return cfg.perfectL2 ? cfg.l2Latency : cfg.offChipLatency;
-    if (entry.is(kDL2))
-        return cfg.l2Latency;
-    return cfg.l1Latency;
+        return DataMiss;
+    return entry.is(kDL2) ? L2Hit : L1Hit;
 }
 
 void
@@ -307,7 +326,6 @@ void
 CycleSim::recordOffChip(uint64_t idx, uint64_t complete_cycle)
 {
     outstanding.push(complete_cycle);
-    events.push(complete_cycle);
     if (idx >= cfg.warmupInsts)
         ++result.offChipAccesses;
 }
@@ -315,15 +333,27 @@ CycleSim::recordOffChip(uint64_t idx, uint64_t complete_cycle)
 void
 CycleSim::drainCompletions()
 {
-    while (!completions.empty() && completions.top().first <= now) {
-        const Seq seq = completions.top().second;
-        completions.pop();
-        RobEntry &entry = entryRef(seq);
-        // A completion always fires no later than the cycle its entry
-        // could first retire, so the slot cannot have been recycled.
-        MLPSIM_ASSERT(entry.seq == seq, "completion for a recycled slot");
-        notifyConsumers(entry);
+    if (nextDue > now)
+        return;
+    // The FIFO-by-FIFO order is safe: see the file comment.
+    uint64_t due = ~0ULL;
+    for (unsigned f = 0; f < numFifos; ++f) {
+        util::RingFifo<Completion> &fifo = completions[f];
+        while (!fifo.empty() && fifo.front().cycle <= now) {
+            const Seq seq = fifo.front().seq;
+            fifo.pop();
+            RobEntry &entry = entryRef(seq);
+            // A completion always fires no later than the cycle its
+            // entry could first retire, so the slot cannot have been
+            // recycled.
+            MLPSIM_ASSERT(entry.seq == seq,
+                          "completion for a recycled slot");
+            notifyConsumers(entry);
+        }
+        if (!fifo.empty())
+            due = std::min(due, fifo.front().cycle);
     }
+    nextDue = due;
 }
 
 void
@@ -410,15 +440,10 @@ CycleSim::issueEntry(RobEntry &entry)
     MLPSIM_ASSERT(iwOccupancy > 0, "issue window underflow");
     --iwOccupancy;
 
-    unsigned latency = cfg.aluLatency;
-    if (entry.is(kPrefetch)) {
-        latency = 1; // prefetches are fire-and-forget
-    } else if (entry.is(kLoadLike)) {
-        latency = dataLatency(entry);
-    }
-    entry.completeCycle = now + latency;
-    events.push(entry.completeCycle);
-    completions.push({entry.completeCycle, entry.seq});
+    const unsigned fifo = kindFifo[latencyKind(entry)];
+    entry.completeCycle = now + fifoLatency[fifo];
+    completions[fifo].push({entry.completeCycle, entry.seq});
+    nextDue = std::min(nextDue, entry.completeCycle);
 
     const uint64_t idx = uint64_t(entry.seq) - 1;
     if (!cfg.perfectL2 && (entry.is(kDMiss) || entry.is(kUsefulPmiss)))
@@ -430,7 +455,6 @@ CycleSim::issueEntry(RobEntry &entry)
         fetchResumeCycle =
             std::max(fetchResumeCycle,
                      entry.completeCycle + cfg.branchRedirectPenalty);
-        events.push(fetchResumeCycle);
         mispredBlockSeq = 0;
     }
 
@@ -550,7 +574,6 @@ CycleSim::fetchStage()
             const unsigned latency =
                 cfg.perfectL2 ? cfg.l2Latency : cfg.offChipLatency;
             fetchResumeCycle = now + latency;
-            events.push(fetchResumeCycle);
             if (!cfg.perfectL2)
                 recordOffChip(idx, now + cfg.offChipLatency);
             any = true;
@@ -576,9 +599,11 @@ CycleSim::fetchStage()
 uint64_t
 CycleSim::nextEventCycle() const
 {
-    uint64_t next = ~0ULL;
-    if (!events.empty())
-        next = events.top();
+    // Only a completion or the end of a fetch stall can make an idle
+    // pipeline busy again; off-chip completions (for prefetches past
+    // their one-cycle issue) change nothing but the MLP count, which
+    // accumulateMlp() integrates across the skipped span.
+    uint64_t next = nextDue;
     if (fetchResumeCycle > now)
         next = std::min(next, fetchResumeCycle);
     return next;
@@ -588,12 +613,12 @@ void
 CycleSim::accumulateMlp(uint64_t from_cycle, uint64_t to_cycle)
 {
     while (from_cycle < to_cycle) {
-        while (!outstanding.empty() && outstanding.top() <= from_cycle)
+        while (!outstanding.empty() && outstanding.front() <= from_cycle)
             outstanding.pop();
         if (outstanding.empty())
             return;
         const uint64_t seg_end =
-            std::min<uint64_t>(to_cycle, outstanding.top());
+            std::min<uint64_t>(to_cycle, outstanding.front());
         if (measuring) {
             result.mlpSum +=
                 double(outstanding.size()) * double(seg_end - from_cycle);
@@ -651,8 +676,6 @@ CycleSim::run()
                       committed, " of ", trace_size);
             next = std::max(next, event);
         }
-        while (!events.empty() && events.top() <= now)
-            events.pop();
 
         accumulateMlp(now, next);
         if (guard < next - now)

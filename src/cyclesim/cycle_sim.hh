@@ -25,20 +25,29 @@
  * number, each entry carries an intrusive consumer list so it is
  * re-examined only when one of its at most four producers completes
  * (O(dependence edges) instead of an O(window) rescan every cycle),
- * completions drain from a min-heap keyed by cycle, and the Table 2
- * issue constraints are tracked incrementally — in-order FIFOs for
- * config-A memory ops and for branches, an intrusive unresolved-store
- * list for config B — whose head advances wake exactly the
- * instructions those policies were blocking. Ready instructions drain
- * in ascending sequence order, which reproduces the old oldest-first
- * scan's issue order, and therefore every CycleSimResult bit, exactly.
+ * and the Table 2 issue constraints are tracked incrementally —
+ * in-order FIFOs for config-A memory ops and for branches, an
+ * intrusive unresolved-store list for config B — whose head advances
+ * wake exactly the instructions those policies were blocking. Ready
+ * instructions drain in ascending sequence order, which reproduces
+ * the old oldest-first scan's issue order, and therefore every
+ * CycleSimResult bit, exactly.
+ *
+ * No priority queue is needed for time. Every execution latency is a
+ * constant of the run and `now` never decreases, so completions pushed
+ * with one latency arrive in completion order: one FIFO per distinct
+ * latency (at most five) is exactly sorted, and so is the single FIFO
+ * of off-chip completion cycles. The next event is the earliest FIFO
+ * head or the fetch-resume cycle. Draining the due completions FIFO
+ * by FIFO rather than in global seq order cannot change a result: the
+ * ready pool pops its minimum seq whatever the push order, kInCand
+ * drops duplicate pushes, and the oldest unresolved store wakes its
+ * parked loads whenever it resolves (DESIGN.md section 14).
  */
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <queue>
-#include <utility>
 #include <vector>
 
 #include "core/chunk_window.hh"
@@ -181,6 +190,17 @@ class CycleSim
                   "RobEntry must stay one cache line; see the "
                   "packed-layout notes in DESIGN.md section 14");
 
+    /** An issued instruction whose value is delivered at `cycle`. */
+    struct Completion
+    {
+        uint64_t cycle = 0;
+        Seq seq = 0;
+    };
+
+    /** What sets an issued instruction's execution latency. */
+    enum LatencyKind : uint8_t { Alu, Prefetch, L1Hit, L2Hit, DataMiss,
+                                 numLatencyKinds };
+
     // --- pipeline stages (each returns whether it made progress) ---
     bool commitStage();
     bool issueStage();
@@ -209,7 +229,7 @@ class CycleSim
     uint64_t robOccupancy() const { return tailSeq - headSeq; }
     RobEntry &entryRef(Seq seq) { return ring[seq & ringMask]; }
 
-    unsigned dataLatency(const RobEntry &entry) const;
+    LatencyKind latencyKind(const RobEntry &entry) const;
     void recordOffChip(uint64_t idx, uint64_t complete_cycle);
     void accumulateMlp(uint64_t from_cycle, uint64_t to_cycle);
 
@@ -252,20 +272,18 @@ class CycleSim
     uint64_t mispredBlockSeq = 0;    //!< 0 = not blocked
     uint64_t serializeBlockSeq = 0;  //!< 0 = not blocked
 
-    /** Completion times of outstanding useful off-chip accesses. */
-    std::priority_queue<uint64_t, std::vector<uint64_t>,
-                        std::greater<uint64_t>> outstanding;
+    /** Completion cycles of outstanding useful off-chip accesses;
+     *  each is `now + offChipLatency`, so pushes arrive sorted. */
+    util::RingFifo<uint64_t> outstanding;
 
-    /** All scheduled wake-up times (issue completions, redirects),
-     *  used to fast-forward idle stretches. */
-    std::priority_queue<uint64_t, std::vector<uint64_t>,
-                        std::greater<uint64_t>> events;
-
-    /** Issued-instruction completions awaiting delivery: (cycle, seq)
-     *  min-heap drained at the top of every simulated cycle. */
-    std::priority_queue<std::pair<uint64_t, Seq>,
-                        std::vector<std::pair<uint64_t, Seq>>,
-                        std::greater<std::pair<uint64_t, Seq>>> completions;
+    /** Issued-instruction completions awaiting delivery, one FIFO per
+     *  distinct latency (kinds whose latencies coincide share one),
+     *  drained at the top of every simulated cycle. */
+    std::array<util::RingFifo<Completion>, numLatencyKinds> completions;
+    std::array<unsigned, numLatencyKinds> fifoLatency{};
+    unsigned numFifos = 0;
+    std::array<uint8_t, numLatencyKinds> kindFifo{}; //!< kind -> FIFO
+    uint64_t nextDue = ~0ULL; //!< earliest completion cycle queued
 
     bool measuring = false;
     uint64_t committed = 0;

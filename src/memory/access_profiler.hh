@@ -111,6 +111,12 @@ class MissAnnotations
     }
 
     void
+    markDataL2Hit(size_t i)
+    {
+        dataL2HitV.set(i);
+    }
+
+    void
     markStoreMiss(size_t i)
     {
         storeMissV.set(i);

@@ -43,11 +43,7 @@ struct CellToken
 
 Daemon::Daemon(DaemonConfig daemon_config)
     : config(daemon_config), runner(daemon_config.jobs),
-      traces(daemon_config.cacheDir.empty()
-                 ? std::string()
-                 : daemon_config.cacheDir + "/traces",
-             daemon_config.traceCacheCapacity,
-             daemon_config.streamChunk)
+      traces(daemon_config.traceCacheCapacity, daemon_config.streamChunk)
 {
     runner.setFailureMode(FailureMode::CollectAll);
     installHooks();

@@ -10,23 +10,17 @@
  * immutable PreparedTrace that concurrent sweep jobs read without
  * locking.
  *
- * Two tiers:
- *
- *  - an in-memory LRU of fully prepared traces (buffer + annotations),
- *    bounded by a trace count (traces are the daemon's dominant memory
- *    consumer; the default of 4 covers the three commercial workloads
- *    plus one odd seed);
- *  - an optional on-disk spill directory of *raw* trace buffers in the
- *    CRC-checked trace-file format (trace/trace_io.hh), keyed by
- *    content hash. A disk hit skips generation (the deterministic
- *    part worth persisting) and re-annotates; annotations are cheap
- *    relative to generation and depend on substrate options, so they
- *    are not spilled.
+ * One tier: an in-memory LRU of fully prepared traces (buffer +
+ * annotations), bounded by a trace count (traces are the daemon's
+ * dominant memory consumer; the default of 4 covers the three
+ * commercial workloads plus one odd seed). An evicted trace is
+ * regenerated from its seed on its next use: every workload is a
+ * deterministic function of (workload, seed), and regenerating a
+ * trace costs a fraction of writing it to disk and reading it back,
+ * so nothing is persisted.
  *
  * Everything is keyed by the canonical trace-key JSON (full string,
- * collision-proof); contentHash() of it names spill files. Disk I/O
- * failures degrade to generation — a broken cache directory costs
- * time, never correctness.
+ * collision-proof).
  */
 #pragma once
 
@@ -74,16 +68,11 @@ class TraceCache
 {
   public:
     /**
-     * @param spill_dir directory for on-disk trace spill (created if
-     *        missing); empty = memory-only.
      * @param capacity  in-memory LRU entry cap (≥ 1).
      * @param stream_chunk non-zero: prepare traces in streamed mode
      *        with this chunk capacity instead of materialising them.
-     *        Streamed traces never spill (regeneration replaces
-     *        storage — the generator IS the persistent form).
      */
-    explicit TraceCache(std::string spill_dir = "",
-                        size_t capacity = 4, uint32_t stream_chunk = 0);
+    explicit TraceCache(size_t capacity = 4, uint32_t stream_chunk = 0);
 
     /** The preparation identity (what the cache is keyed on). */
     struct Key
@@ -98,27 +87,21 @@ class TraceCache
     };
 
     /**
-     * Return the prepared trace for @p key, preparing (or loading and
-     * re-annotating a spilled buffer) on miss. Fails only when the
-     * workload cannot be generated or annotated — never because of
-     * spill-directory trouble.
+     * Return the prepared trace for @p key, preparing it on miss.
+     * Fails only when the workload cannot be generated or annotated.
      */
     Expected<std::shared_ptr<const PreparedTrace>> get(const Key &key);
 
     struct Stats
     {
         uint64_t memoryHits = 0;
-        uint64_t diskHits = 0; //!< spilled buffer reloaded + annotated
-        uint64_t builds = 0;   //!< generated from the workload model
+        uint64_t builds = 0; //!< generated from the workload model
     };
 
     Stats stats() const;
 
   private:
-    std::string spillPath(const std::string &canonical) const;
-
     mutable std::mutex mutex;
-    std::string dir;      //!< empty = no spill tier
     size_t capacityLimit;
     uint32_t streamChunk; //!< 0 = materialise
 

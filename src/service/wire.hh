@@ -28,9 +28,8 @@
  * config) simulation. Its identity is the canonical cell-key JSON —
  * fixed member order, compact dump — produced by cellKey(). Cache maps
  * are keyed by this full string (collision-proof); contentHash() of it
- * (16 hex chars of splitMix64 ∘ FNV-1a) names derived artifacts where
- * a short stable token is needed: spilled trace filenames and the
- * request_hash echoed in responses. Presentation-only fields (the
+ * (16 hex chars of splitMix64 ∘ FNV-1a) is the short stable token
+ * echoed in responses as request_hash. Presentation-only fields (the
  * config's display name, the request id, deadlines/retries) are
  * excluded from keys, so renaming a config or retuning limits still
  * hits the cache.

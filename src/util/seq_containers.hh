@@ -26,42 +26,48 @@ namespace mlpsim::util {
 using Seq = uint32_t;
 
 /**
- * In-order queue of sequence numbers (config-A memory ops, in-order
- * branches). A power-of-two ring over a vector; push grows by
- * doubling, so a reset() capacity is a hint, not a limit.
+ * Power-of-two ring FIFO over a vector; push grows by doubling, so a
+ * reset() capacity is a hint, not a limit. The head/tail counters
+ * wrap modulo 2^32, which the power-of-two capacity divides.
  */
-class SeqFifo
+template <typename T>
+class RingFifo
 {
   public:
     void
     reset(size_t min_capacity)
     {
-        buf.assign(std::bit_ceil(std::max<size_t>(min_capacity, 16)), 0);
+        buf.assign(std::bit_ceil(std::max<size_t>(min_capacity, 16)), T{});
         head = tail = 0;
     }
 
     bool empty() const { return head == tail; }
-    Seq front() const { return buf[head & (buf.size() - 1)]; }
+    size_t size() const { return tail - head; }
+    const T &front() const { return buf[head & (buf.size() - 1)]; }
     void pop() { ++head; }
 
     void
-    push(Seq s)
+    push(const T &v)
     {
         if (tail - head == buf.size()) {
-            std::vector<Seq> next(buf.size() * 2);
+            std::vector<T> next(buf.size() * 2);
             for (uint32_t i = head; i != tail; ++i)
                 next[i & (next.size() - 1)] = buf[i & (buf.size() - 1)];
             buf.swap(next);
         }
-        buf[tail & (buf.size() - 1)] = s;
+        buf[tail & (buf.size() - 1)] = v;
         ++tail;
     }
 
   private:
-    std::vector<Seq> buf;
+    std::vector<T> buf;
     uint32_t head = 0;
     uint32_t tail = 0;
 };
+
+/** In-order queue of sequence numbers (config-A memory ops, in-order
+ *  branches). */
+using SeqFifo = RingFifo<Seq>;
 
 /**
  * Open-addressing map from store line key to the seq of the newest

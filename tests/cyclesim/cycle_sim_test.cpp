@@ -180,9 +180,11 @@ TEST(CycleSim, L2HitLatencyIsUsed)
 {
     // A dataL2Hit-annotated load costs ~l2Latency, not off-chip time.
     ScriptedTrace s;
-    s.add(makeLoad(0x100, r1, 0xA000, noReg));
+    s.add(makeLoad(0x100, r1, 0xA000, noReg), Miss::L2Hit);
     s.add(makeAlu(0x104, r2, r1));
-    const auto r = run(s, CycleSimConfig{});
+    const CycleSimConfig cfg;
+    const auto r = run(s, cfg);
+    EXPECT_GT(r.cycles, uint64_t(cfg.l2Latency));
     EXPECT_LT(r.cycles, 30u);
 }
 
@@ -738,9 +740,10 @@ class ReferencePipeline
 /** A deterministic pseudo-random instruction mix: ALU chains, loads
  *  and stores over an aliasing address pool (exercising forwarding),
  *  prefetches, branches (some mispredicted), fetch misses and the odd
- *  serializing instruction, atomic or plain. */
+ *  serializing instruction, atomic or plain. With @p l2_hits, a third
+ *  of the loads that stay on chip hit in the L2. */
 ScriptedTrace
-randomTrace(uint32_t seed, size_t n)
+randomTrace(uint32_t seed, size_t n, bool l2_hits = false)
 {
     std::mt19937 rng(seed);
     auto pick = [&](uint32_t bound) { return uint32_t(rng() % bound); };
@@ -757,8 +760,9 @@ randomTrace(uint32_t seed, size_t n)
                           pick(2) ? uint8_t(1 + pick(12)) : noReg),
                   fetch);
         } else if (roll < 62) {
+            const bool l2 = l2_hits && pick(3) == 0;
             s.add(makeLoad(pc, dst, addr, pick(3) ? src : noReg),
-                  pick(4) == 0 ? Miss::Data : fetch);
+                  pick(4) == 0 ? Miss::Data : (l2 ? Miss::L2Hit : fetch));
         } else if (roll < 77) {
             s.add(makeStore(pc, addr, src, uint8_t(1 + pick(12))),
                   fetch);
@@ -776,6 +780,54 @@ randomTrace(uint32_t seed, size_t n)
         }
     }
     return s;
+}
+
+/** A miss-dense mix with no front-end stalls: independent loads to
+ *  distinct lines (two thirds off-chip, some L2 hits), useful
+ *  prefetches, ALU work consuming the loaded values, stores and
+ *  correctly predicted branches. A wide window fills with dozens of
+ *  outstanding misses at once. */
+ScriptedTrace
+missDenseTrace(uint32_t seed, size_t n)
+{
+    std::mt19937 rng(seed);
+    auto pick = [&](uint32_t bound) { return uint32_t(rng() % bound); };
+    ScriptedTrace s;
+    uint64_t pc = 0x1000;
+    for (size_t i = 0; i < n; ++i, pc += 4) {
+        const uint8_t dst = uint8_t(1 + pick(12));
+        const uint8_t src = uint8_t(1 + pick(12));
+        const uint64_t line = 0x100000 + 64 * i;
+        const uint32_t roll = pick(100);
+        if (roll < 45) {
+            const uint32_t where = pick(6);
+            s.add(makeLoad(pc, dst, line, noReg),
+                  where < 4 ? Miss::Data
+                            : (where == 4 ? Miss::L2Hit : Miss::None));
+        } else if (roll < 60) {
+            s.add(makePrefetch(pc, line, noReg), Miss::UsefulPrefetch);
+        } else if (roll < 80) {
+            s.add(makeAlu(pc, dst, src, uint8_t(1 + pick(12))));
+        } else if (roll < 90) {
+            s.add(makeStore(pc, 0xA000 + 8 * pick(24), src, dst));
+        } else {
+            s.add(makeBranch(pc, pc + 16, pick(2) != 0, src));
+        }
+    }
+    return s;
+}
+
+void
+expectMatchesReference(const CycleSimConfig &cfg,
+                       const core::WorkloadContext &ctx)
+{
+    const auto expect = ReferencePipeline(cfg, ctx).run();
+    const auto got = CycleSim(cfg, ctx).run();
+    EXPECT_EQ(got.cycles, expect.cycles);
+    EXPECT_EQ(got.instructions, expect.instructions);
+    EXPECT_EQ(got.offChipAccesses, expect.offChipAccesses);
+    EXPECT_EQ(got.mlpCycles, expect.mlpCycles);
+    EXPECT_EQ(got.mlpSum, expect.mlpSum);
 }
 
 } // namespace
@@ -799,19 +851,78 @@ TEST(CycleSimEquivalence, MatchesTheLegacyScanSchedulerExactly)
                                      << "seed=" << seed << " "
                                      << cfg.metricLabel()
                                      << " warm=" << warm);
-                        const auto expect =
-                            ReferencePipeline(cfg, ctx).run();
-                        const auto got = CycleSim(cfg, ctx).run();
-                        EXPECT_EQ(got.cycles, expect.cycles);
-                        EXPECT_EQ(got.instructions, expect.instructions);
-                        EXPECT_EQ(got.offChipAccesses,
-                                  expect.offChipAccesses);
-                        EXPECT_EQ(got.mlpCycles, expect.mlpCycles);
-                        EXPECT_EQ(got.mlpSum, expect.mlpSum);
+                        expectMatchesReference(cfg, ctx);
                     }
                 }
             }
         }
+    }
+}
+
+// The scheduler keeps one completion FIFO per distinct execution
+// latency; these machines make latency kinds coincide (so FIFOs are
+// shared), stretch them apart, and decouple the ROB from the window.
+TEST(CycleSimEquivalence, MatchesAcrossLatencyShapes)
+{
+    struct Shape
+    {
+        const char *name;
+        void (*apply)(CycleSimConfig &);
+    };
+    const Shape shapes[] = {
+        {"perfectL2", [](CycleSimConfig &c) { c.perfectL2 = true; }},
+        {"l2=offchip",
+         [](CycleSimConfig &c) { c.l2Latency = c.offChipLatency; }},
+        {"alu=2", [](CycleSimConfig &c) { c.aluLatency = 2; }},
+        {"l1=1", [](CycleSimConfig &c) { c.l1Latency = 1; }},
+        {"rob>window",
+         [](CycleSimConfig &c) {
+             c.issueWindowSize = 16;
+             c.robSize = 64;
+         }},
+    };
+    for (uint32_t seed : {1u, 2u}) {
+        ScriptedTrace s = randomTrace(0xBEEF + seed, 600, true);
+        const auto ctx = s.context();
+        for (const Shape &shape : shapes) {
+            for (auto ic :
+                 {IssueConfig::A, IssueConfig::B, IssueConfig::C}) {
+                for (unsigned lat : {60u, 300u}) {
+                    CycleSimConfig cfg;
+                    cfg.issue = ic;
+                    cfg.issueWindowSize = 32;
+                    cfg.robSize = 32;
+                    cfg.offChipLatency = lat;
+                    cfg.warmupInsts = 100;
+                    shape.apply(cfg);
+                    SCOPED_TRACE(testing::Message()
+                                 << "seed=" << seed << " " << shape.name
+                                 << " " << cfg.metricLabel());
+                    expectMatchesReference(cfg, ctx);
+                }
+            }
+        }
+    }
+}
+
+// A long, miss-dense trace through a 256-entry window: the completion
+// and off-chip FIFOs grow well past their initial capacity.
+TEST(CycleSimEquivalence, MatchesOnALongTraceAtAWideWindow)
+{
+    ScriptedTrace s = missDenseTrace(0xFACE, 6000);
+    const auto ctx = s.context();
+    for (auto ic : {IssueConfig::A, IssueConfig::B, IssueConfig::C}) {
+        CycleSimConfig cfg;
+        cfg.issue = ic;
+        cfg.issueWindowSize = 256;
+        cfg.robSize = 256;
+        cfg.fetchBufferSize = 64;
+        cfg.fetchWidth = cfg.dispatchWidth = 8;
+        cfg.issueWidth = cfg.commitWidth = 8;
+        cfg.offChipLatency = 1000;
+        cfg.warmupInsts = 500;
+        SCOPED_TRACE(cfg.metricLabel());
+        expectMatchesReference(cfg, ctx);
     }
 }
 

@@ -16,8 +16,9 @@ namespace mlpsim::test {
 enum class Miss : uint8_t {
     None,
     Data,          //!< the data access goes off-chip
-    Fetch,         //!< fetching this instruction goes off-chip
-    UsefulPrefetch //!< useful off-chip software prefetch
+    Fetch,          //!< fetching this instruction goes off-chip
+    UsefulPrefetch, //!< useful off-chip software prefetch
+    L2Hit           //!< the data access misses the L1, hits the L2
 };
 
 /** A literal instruction sequence with injected annotations. */
@@ -76,6 +77,7 @@ class ScriptedTrace
               case Miss::UsefulPrefetch:
                 missAnn.markUsefulPrefetch(i);
                 break;
+              case Miss::L2Hit: missAnn.markDataL2Hit(i); break;
               case Miss::None: break;
             }
             if (buffer.at(i).isBranch()) {
